@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .baselines.spectral import spectral_clustering
 from .baselines.walktrap import walktrap_communities
 from .congest.network import CostReport
 from .core.mixing_set import LargestMixingSet
-from .execution import EXECUTOR_PROCESS, EXECUTOR_THREAD, resolve_executor
+from .execution import EXECUTOR_PROCESS, EXECUTOR_THREAD
 from .core.parameters import CDRWParameters
 from .core.result import CommunityResult, DetectionResult
 from .exceptions import BackendError
@@ -647,14 +648,23 @@ def detect(
     on top of ``config`` for one-off tweaks, e.g.
     ``detect(g, "batched", seed=7, batch_size=16)``.
 
-    ``session`` routes the run through a resident
-    :class:`~repro.session.DetectionSession` holding ``graph``: the graph
-    broadcast, worker pool and derived operators are reused across calls
-    instead of rebuilt, with the computed payload bit-identical to the
-    session-free run.  The session must have been created for this exact
-    ``graph`` object, and the backend must support sessions (``"batched"``
-    and ``"parallel"``).  ``params`` / ``config`` / ``delta_hint`` default
-    to the session's own when omitted.
+    The ``"batched"`` and ``"parallel"`` backends have one execution path:
+    each is one driver in :mod:`repro.session` (validation, the edgeless
+    fast path, the pool loop or seed spreading, conflict resolution) run
+    with one of two strategies, the in-process kernel (``executor=
+    "thread"``) or seed shards on a worker-process pool (``executor=
+    "process"``).  Every run happens on a
+    :class:`~repro.session.DetectionSession`; without ``session`` the call
+    opens a private one and closes it before returning, so its report
+    carries the session metadata of a first call.
+
+    ``session`` instead runs the call on a resident session holding
+    ``graph``: the graph broadcast, worker pool and derived operators are
+    reused across calls instead of rebuilt, with the computed payload
+    bit-identical to a one-shot run.  The session must have been created
+    for this exact ``graph`` object, and the backend must support sessions
+    (``"batched"`` and ``"parallel"``).  ``params`` / ``config`` /
+    ``delta_hint`` default to the session's own when omitted.
 
     Returns a :class:`RunReport`; the detected communities are identical to
     what the corresponding legacy entry point produces for the same knobs
@@ -757,6 +767,20 @@ def _distribution_rows(finals: np.ndarray) -> list[list[float]]:
     return [finals[:, index].tolist() for index in range(finals.shape[1])]
 
 
+@contextmanager
+def _resident(
+    graph: Graph, session: "DetectionSession | None"
+) -> Iterator["DetectionSession"]:
+    """The caller's session, or a private one opened and closed for this call."""
+    if session is not None:
+        yield session
+        return
+    from .session import DetectionSession
+
+    with DetectionSession(graph) as private:
+        yield private
+
+
 def _batched_runner(
     graph: Graph,
     params: CDRWParameters | None,
@@ -765,69 +789,8 @@ def _batched_runner(
     *,
     session: "DetectionSession | None" = None,
 ) -> BackendOutcome:
-    if session is not None:
-        return session._run_batched(params, config, delta_hint)
-    executor = resolve_executor(config.executor)
-    if executor == EXECUTOR_PROCESS:
-        from .execution_process import detect_batched_process
-
-        outcome = detect_batched_process(
-            graph,
-            params,
-            delta_hint,
-            seed=config.seed,
-            max_seeds=config.max_seeds,
-            batch_size=config.batch_size,
-            seeds=config.seeds,
-            workers=config.workers,
-            dtype=config.dtype,
-            capture_distributions=config.capture_distributions,
-            capture_history=config.capture_history,
-        )
-        artifacts: dict[str, object] = {}
-        finals = None
-        if config.capture_distributions and outcome.final_distributions is not None:
-            finals = outcome.final_distributions
-            artifacts["final_distributions"] = _distribution_rows(finals)
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras=dict(outcome.extras),
-            artifacts=artifacts,
-            native=finals,
-        )
-
-    from .core.batched import _detect_communities_batched_impl
-
-    result = _detect_communities_batched_impl(
-        graph,
-        params,
-        delta_hint,
-        seed=config.seed,
-        max_seeds=config.max_seeds,
-        batch_size=config.batch_size,
-        seeds=config.seeds,
-        workers=config.workers,
-        dtype=np.dtype(config.dtype),
-        capture_distributions=config.capture_distributions,
-        capture_history=config.capture_history,
-    )
-    artifacts = {}
-    finals = None
-    if config.capture_distributions:
-        detection, finals = result
-        artifacts["final_distributions"] = _distribution_rows(finals)
-    else:
-        detection = result
-    # The raw (n, k) matrix rides along as the (unserialized) native result
-    # so in-memory consumers — detect_community_batch — read it back without
-    # re-parsing the list artifact.
-    return BackendOutcome(
-        detection=detection,
-        extras={"executor": executor},
-        artifacts=artifacts,
-        native=finals,
-    )
+    with _resident(graph, session) as resident:
+        return resident._run_batched(params, config, delta_hint)
 
 
 def _sharded_runner(
@@ -874,48 +837,8 @@ def _parallel_runner(
     *,
     session: "DetectionSession | None" = None,
 ) -> BackendOutcome:
-    if config.num_communities is None:
-        raise BackendError(
-            "the 'parallel' backend needs the community-count estimate r: "
-            "pass config=RunConfig(num_communities=...)"
-        )
-    if session is not None:
-        return session._run_parallel(params, config, delta_hint)
-    executor = resolve_executor(config.executor)
-    if executor == EXECUTOR_PROCESS:
-        from .execution_process import detect_parallel_process
-
-        outcome = detect_parallel_process(
-            graph,
-            config.num_communities,
-            params,
-            delta_hint,
-            seed=config.seed,
-            overlap_merge_threshold=config.overlap_merge_threshold,
-            seed_min_distance=config.seed_min_distance,
-            workers=config.workers,
-            capture_history=config.capture_history,
-        )
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras=dict(outcome.extras),
-        )
-
-    from .core.parallel import _detect_communities_parallel_impl
-
-    detection = _detect_communities_parallel_impl(
-        graph,
-        config.num_communities,
-        params,
-        delta_hint,
-        seed=config.seed,
-        overlap_merge_threshold=config.overlap_merge_threshold,
-        seed_min_distance=config.seed_min_distance,
-        workers=config.workers,
-        capture_history=config.capture_history,
-    )
-    return BackendOutcome(detection=detection, extras={"executor": executor})
+    with _resident(graph, session) as resident:
+        return resident._run_parallel(params, config, delta_hint)
 
 
 def _congest_runner(

@@ -379,17 +379,17 @@ def _detect_communities_batched_impl(
     dtype: DTypeLike = np.float64,
     capture_distributions: bool = False,
     capture_history: bool = True,
-    walk_operator: "sp.csr_matrix | None" = None,
-    search: BatchedMixingSetSearch | None = None,
     walk_factory: Callable[[list[int]], BatchedWalk] | None = None,
 ) -> DetectionResult | tuple[DetectionResult, np.ndarray]:
-    """The batched pool loop the ``"batched"`` backend executes.
+    """The batched pool loop as one self-contained call.
 
-    With ``capture_distributions`` the return value is ``(detection,
-    finals)`` where ``finals[:, i]`` is the final walk distribution of
+    The ``batched`` backend runs the same loop through the driver of
+    :mod:`repro.session`; this form is the sharded tier's driver, which
+    swaps the walk in through ``walk_factory``.  With
+    ``capture_distributions`` the return value is ``(detection, finals)``
+    where ``finals[:, i]`` is the final walk distribution of
     ``detection.communities[i]`` (see :func:`detect_community_batch`).
-    ``capture_history`` / ``walk_operator`` / ``search`` /
-    ``walk_factory`` are forwarded to every
+    ``capture_history`` / ``walk_factory`` are forwarded to every
     :func:`_detect_community_batch_impl` round unchanged.
     """
     if batch_size < 1:
@@ -407,8 +407,6 @@ def _detect_communities_batched_impl(
             workers=workers,
             dtype=dtype,
             capture_history=capture_history,
-            walk_operator=walk_operator,
-            search=search,
             walk_factory=walk_factory,
         )
         if capture_distributions:
@@ -443,10 +441,12 @@ def _pool_loop(
 
     ``run_batch(round_seeds)`` executes one round and returns its
     :class:`CommunityResult` list in seed order.  This single definition
-    serves both execution tiers — the thread tier runs the batch in-process,
-    the process tier (:mod:`repro.execution_process`) shards it across the
-    worker pool — so the drawn seed sequence (and with it the cross-tier
-    identity guarantee) cannot diverge between them.  The draws use a
+    serves every execution tier — the batched driver of
+    :mod:`repro.session` runs each round with the thread or process
+    strategy, the sharded tier through
+    :func:`_detect_communities_batched_impl` — so the drawn seed sequence
+    (and with it the cross-tier identity guarantee) cannot diverge between
+    them.  The draws use a
     boolean membership mask exactly like the sequential pool loop of
     :mod:`repro.core.cdrw`; with ``batch_size=1`` the draw sequence is
     identical to it.

@@ -27,7 +27,6 @@ even faster (by finding communities in parallel), assuming we know an
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,14 +34,8 @@ from ..exceptions import AlgorithmError
 from ..graphs.graph import Graph
 from ..graphs.traversal import bfs_tree
 from ..utils import as_rng
-from .batched import _detect_community_batch_impl
 from .parameters import CDRWParameters
 from .result import CommunityResult, DetectionResult
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-    from .mixing_set import BatchedMixingSetSearch
 
 __all__ = ["select_spread_seeds", "detect_communities_parallel"]
 
@@ -161,52 +154,6 @@ def detect_communities_parallel(
     return report.detection
 
 
-def _detect_communities_parallel_impl(
-    graph: Graph,
-    num_communities: int,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    overlap_merge_threshold: float = 0.5,
-    seed_min_distance: int = 2,
-    workers: int | None = None,
-    capture_history: bool = True,
-    walk_operator: "sp.csr_matrix | None" = None,
-    search: "BatchedMixingSetSearch | None" = None,
-) -> DetectionResult:
-    """The spread-seed shared-walk detection the ``"parallel"`` backend executes.
-
-    ``capture_history`` / ``walk_operator`` / ``search`` are forwarded to the
-    shared batch (see :func:`~repro.core.batched._detect_community_batch_impl`);
-    none of them changes the detected communities.
-    """
-    if num_communities < 1:
-        raise AlgorithmError(f"num_communities must be >= 1, got {num_communities}")
-    if not (0.0 < overlap_merge_threshold <= 1.0):
-        raise AlgorithmError(
-            f"overlap_merge_threshold must be in (0, 1], got {overlap_merge_threshold}"
-        )
-    parameters = parameters or CDRWParameters()
-    rng = as_rng(seed)
-
-    seeds = select_spread_seeds(
-        graph, num_communities, min_distance=seed_min_distance, seed=rng
-    )
-    raw_results, distributions = _detect_community_batch_impl(
-        graph,
-        seeds,
-        parameters,
-        delta_hint,
-        capture_distributions=True,
-        workers=workers,
-        capture_history=capture_history,
-        walk_operator=walk_operator,
-        search=search,
-    )
-    resolved = _merge_and_resolve(raw_results, distributions, overlap_merge_threshold)
-    return DetectionResult(num_vertices=graph.num_vertices, communities=tuple(resolved))
-
-
 def _merge_and_resolve(
     raw_results: list[CommunityResult],
     distributions: np.ndarray,
@@ -214,9 +161,9 @@ def _merge_and_resolve(
 ) -> list[CommunityResult]:
     """Steps 2-3 of the parallel driver: duplicate merge, then overlap resolution.
 
-    Shared by the thread and process execution tiers — both hand the raw
-    per-seed batch results (identical by the batch guarantee) to this one
-    function, so the tiers cannot diverge in how conflicts are resolved.
+    The driver (:mod:`repro.session`) hands the raw per-seed batch results
+    of either execution tier (identical by the batch guarantee) to this one
+    function.
     """
     # Step 2 aftermath: drop duplicates of already-kept blocks (earlier seed
     # survives), remembering each survivor's index into the batch.

@@ -1,13 +1,17 @@
 """Out-of-process execution tier: seed shards on a shared-memory process pool.
 
-The thread tier (:mod:`repro.execution`) scales the batched kernels as far as
-scipy/numpy release the GIL; pure-Python portions of the detection loop (the
-stopping rule, history bookkeeping, candidate scheduling) stay serialized.
-This module is the tier past that limit, mirroring the paper's k-machine
-deployment in-process: ``k`` worker *processes*, each running the unchanged
-batched detection kernel on its own shard of the seed pool.
+The thread tier scales the batched kernels as far as scipy/numpy release
+the GIL; pure-Python portions of the detection loop (the stopping rule,
+history bookkeeping, candidate scheduling) stay serialized.  This module is
+the tier past that limit, mirroring the paper's k-machine deployment
+in-process: ``k`` worker *processes*, each running the unchanged batched
+detection kernel on its own shard of a seed list.
 
-The design has three parts:
+It is a strategy, not a driver.  The ``batched`` and ``parallel`` drivers
+of :mod:`repro.session` own validation, the pool loop, seed spreading and
+conflict resolution; on this tier they hand each seed list to
+:meth:`ProcessGraphPool.run_seeds` on the session's pool, and on the thread
+tier to the in-process kernel.  The module provides:
 
 * **One graph broadcast, zero per-task pickling.**  :class:`SharedGraph`
   copies the CSR arrays (``indptr`` / ``indices`` / ``degrees``) into
@@ -15,35 +19,28 @@ The design has three parts:
   the segments read-only at pool start-up and rebuilds the :class:`Graph`
   through the zero-copy :meth:`~repro.graphs.graph.Graph.from_csr`
   constructor.  Tasks then carry only seed lists and parameters — the graph
-  never crosses a pipe.
-* **Deterministic sharding.**  A batch of seeds is split into contiguous
-  shards with the same :func:`~repro.execution.block_ranges` partition the
-  thread tier uses — a pure function of ``(count, workers)``, never of
-  timing — and shard results are merged back in shard order.  Every
-  per-seed :class:`~repro.core.result.CommunityResult` is *identical* to
-  the serial facade's because the batched kernels guarantee per-column
-  results independent of batch composition (the PR 1 bit-identical-walk and
-  PR 2 exact-search contracts).
-* **Parent-side RNG.**  All randomness — pool draws, seed spreading — runs
-  in the parent with the exact draw sequence of the serial implementation;
-  worker shards are pure functions of ``(graph, seeds, parameters, δ)``
-  (the walk is a deterministic power iteration, not a sampled trajectory),
-  so no seed state needs to be split across processes and results cannot
-  depend on scheduling.  The stopping parameter δ is resolved once in the
-  parent and shipped resolved (``resolve_delta`` is idempotent on its own
-  output), so workers skip the spectral conductance estimate.
+  never crosses a pipe.  The broadcast's owner (the session) outlives any
+  one pool, so a worker-count change rebuilds only the executor.
+* **Deterministic sharding.**  A seed list is split into contiguous shards
+  with the same :func:`~repro.execution.block_ranges` partition the thread
+  tier uses — a pure function of ``(count, workers)``, never of timing —
+  and shard results are merged back in shard order.  Every per-seed
+  :class:`~repro.core.result.CommunityResult` is *identical* to the thread
+  tier's because the batched kernels guarantee per-column results
+  independent of batch composition.
+* **Pure shards.**  Worker shards are pure functions of ``(graph, seeds,
+  parameters, δ)`` (the walk is a deterministic power iteration, not a
+  sampled trajectory), so no RNG state crosses the process boundary and
+  results cannot depend on scheduling.  δ arrives resolved
+  (``resolve_delta`` is idempotent on its own output), so workers skip the
+  spectral conductance estimate.
 
 Worker processes run the batched kernels with ``workers=1`` — process-level
 parallelism replaces thread-level parallelism rather than multiplying it —
 which is bit-identical by the thread tier's own guarantee.
-
-The tier is selected through ``RunConfig(executor="process")`` (or the
-``REPRO_EXECUTOR`` environment override) on the ``batched`` and ``parallel``
-backends of :mod:`repro.api`; ``tests/test_process_executor.py`` pins the
-computed report payload — detections, cost totals, artifacts, serialized
-form — against the serial facade at several worker counts (the fields that
-describe the run itself — config, wall-clock timings, executor metadata —
-naturally differ).
+``tests/test_process_executor.py`` pins the computed report payload —
+detections, cost totals, artifacts, serialized form — against the thread
+tier at several worker counts.
 """
 
 from __future__ import annotations
@@ -51,31 +48,25 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import multiprocessing
 
 import numpy as np
 
+from .core.batched import _detect_community_batch_impl
 from .core.parameters import CDRWParameters
-from .core.result import CommunityResult, DetectionResult
-from .exceptions import AlgorithmError, ReproError
+from .core.result import CommunityResult
+from .exceptions import ReproError
+from .execution import block_ranges, resolve_workers
 from .graphs.graph import Graph
 from .graphs.storage import AttachedCSR, SharedCSRHandle, SharedCSRStorage
-from .utils import as_rng
-
-from .core.batched import _detect_community_batch_impl, _pool_loop
-from .core.parallel import _merge_and_resolve, select_spread_seeds
-from .execution import block_ranges, resolve_workers
 
 __all__ = [
     "SharedGraph",
     "SharedGraphHandle",
     "AttachedGraph",
     "ProcessGraphPool",
-    "ProcessOutcome",
-    "detect_batched_process",
-    "detect_parallel_process",
 ]
 
 
@@ -189,42 +180,24 @@ def _run_shard(task: _ShardTask) -> _ShardResult:
 class ProcessGraphPool:
     """Worker processes sharing one read-only broadcast graph.
 
-    One-shot runs create the pool per detection (fork start-up is
-    milliseconds): the graph is broadcast, ``workers`` processes attach it,
-    seed batches are sharded with :func:`~repro.execution.block_ranges` and
-    merged in shard order.  :meth:`close` tears down the workers and — when
-    the pool owns the broadcast — unlinks the segments.
-
-    A resident :class:`~repro.session.DetectionSession` instead broadcasts
-    the graph once and passes the :class:`SharedGraph` in via ``shared``;
-    the pool then only manages the executor and leaves the segments' lifetime
-    with the session (``close()`` shuts the workers down but does not
-    unlink), so the executor can be rebuilt — e.g. for a different worker
-    count — without a re-broadcast.
+    ``workers`` processes attach the :class:`SharedGraph` broadcast at
+    start-up; seed lists are sharded with
+    :func:`~repro.execution.block_ranges` and merged in shard order.  The
+    pool never owns the broadcast: :meth:`close` shuts the workers down and
+    leaves the segments to their owner (a
+    :class:`~repro.session.DetectionSession`), so the executor can be
+    rebuilt — e.g. for a different worker count — without a re-broadcast.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        workers: int | None = None,
-        mp_context: multiprocessing.context.BaseContext | None = None,
-        *,
-        shared: SharedGraph | None = None,
-    ) -> None:
+    def __init__(self, shared: SharedGraph, workers: int | None) -> None:
         self.workers = resolve_workers(workers)
-        self._owns_shared = shared is None
-        self._shared = SharedGraph(graph) if shared is None else shared
-        try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=mp_context or _preferred_context(),
-                initializer=_init_worker,
-                initargs=(self._shared.handle,),
-            )
-        except BaseException:
-            if self._owns_shared:
-                self._shared.close()
-            raise
+        self._shared = shared
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=_preferred_context(),
+            initializer=_init_worker,
+            initargs=(shared.handle,),
+        )
         self.tasks_issued = 0
         self._task_seconds: list[float] = []
 
@@ -308,7 +281,7 @@ class ProcessGraphPool:
 
         Returns the number of completed shards recorded so far; pass it to
         :meth:`shard_timings` (and subtract it from :attr:`tasks_issued`)
-        to report only the shards of one resident-session call.
+        to report only the shards of one detection call.
         """
         return len(self._task_seconds)
 
@@ -327,8 +300,8 @@ class ProcessGraphPool:
         numbers and are always present; the per-shard keys are dropped past
         :data:`MAX_SHARD_TIMING_KEYS` shards.  ``since`` (a :meth:`mark`
         snapshot) restricts the report to the shards recorded after it, with
-        indices re-based to 0 — a session call's timing dict then has the
-        same shape as a one-shot run's.
+        indices re-based to 0 — a call's timing dict has the same shape
+        whether its pool is fresh or has served earlier calls.
         """
         recorded = self._task_seconds[since:]
         timings = {
@@ -342,386 +315,9 @@ class ProcessGraphPool:
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
-        if self._owns_shared:
-            self._shared.close()
 
     def __enter__(self) -> "ProcessGraphPool":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# Backend implementations
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProcessOutcome:
-    """What the process tier hands back to the :mod:`repro.api` runners."""
-
-    detection: DetectionResult
-    final_distributions: np.ndarray | None = None
-    timings: dict[str, float] = field(default_factory=dict)
-    extras: dict[str, object] = field(default_factory=dict)
-
-
-def _serial_outcome(
-    detection: DetectionResult, finals: np.ndarray | None
-) -> ProcessOutcome:
-    """Wrap an inline (no-pool) run — taken for edgeless/empty graphs only."""
-    return ProcessOutcome(
-        detection=detection,
-        final_distributions=finals,
-        extras={"executor": "process", "worker_processes": 0, "process_tasks": 0},
-    )
-
-
-def _pool_outcome(
-    pool: ProcessGraphPool,
-    detection: DetectionResult,
-    finals: np.ndarray | None,
-    since: int = 0,
-) -> ProcessOutcome:
-    """``since`` (a :meth:`ProcessGraphPool.mark` snapshot) restricts the
-    timings and task count to the shards of one call on a persistent pool;
-    one-shot runs use the default 0 (the pool's whole history)."""
-    return ProcessOutcome(
-        detection=detection,
-        final_distributions=finals,
-        timings=pool.shard_timings(since=since),
-        extras={
-            "executor": "process",
-            "worker_processes": pool.workers,
-            "process_tasks": pool.tasks_issued - since,
-        },
-    )
-
-
-def _validate_batched_seeds(
-    graph: Graph,
-    seeds: tuple[int, ...] | list[int] | None,
-    max_seeds: int | None,
-    batch_size: int,
-) -> list[int] | None:
-    """Shared argument validation for the one-shot and session entry points.
-
-    Returns the truncated explicit seed list, or ``None`` in pool mode.
-    """
-    if batch_size < 1:
-        raise AlgorithmError(f"batch_size must be >= 1, got {batch_size}")
-    if seeds is None:
-        return None
-    explicit = [int(s) for s in seeds]
-    if max_seeds is not None:
-        explicit = explicit[:max_seeds]
-    for seed_vertex in explicit:
-        if seed_vertex not in graph:
-            raise AlgorithmError(
-                f"seed vertex {seed_vertex} is not a vertex of {graph!r}"
-            )
-    return explicit
-
-
-def _is_trivial(graph: Graph, explicit: list[int] | None, seeds_given: bool) -> bool:
-    """Whether the run needs no pool: edgeless/empty graph or an empty seed list."""
-    return (
-        graph.num_edges == 0
-        or graph.num_vertices == 0
-        or (seeds_given and not explicit)
-    )
-
-
-def _trivial_batched_outcome(
-    graph: Graph,
-    parameters: CDRWParameters,
-    delta_hint: float | None,
-    *,
-    seed: int | np.random.Generator | None,
-    max_seeds: int | None,
-    batch_size: int,
-    explicit: list[int] | None,
-    seeds_given: bool,
-    dtype: str,
-    capture_distributions: bool,
-    capture_history: bool,
-) -> ProcessOutcome:
-    """The inline no-pool path for trivial runs (see :func:`_is_trivial`).
-
-    Edgeless / empty runs hit the scalar fast path per seed; spinning up a
-    pool would only add start-up latency.  Results are identical by the
-    batch guarantee.
-    """
-    from .core.batched import _detect_communities_batched_impl
-
-    outcome = _detect_communities_batched_impl(
-        graph,
-        parameters,
-        delta_hint,
-        seed=seed,
-        max_seeds=max_seeds,
-        batch_size=batch_size,
-        seeds=explicit if seeds_given else None,
-        workers=1,
-        dtype=np.dtype(dtype),
-        capture_distributions=capture_distributions,
-        capture_history=capture_history,
-    )
-    if capture_distributions:
-        detection, finals = outcome
-    else:
-        detection, finals = outcome, None
-    return _serial_outcome(detection, finals)
-
-
-def _run_batched_on_pool(
-    pool: ProcessGraphPool,
-    graph: Graph,
-    parameters: CDRWParameters,
-    delta: float,
-    *,
-    explicit: list[int] | None,
-    seed: int | np.random.Generator | None,
-    max_seeds: int | None,
-    batch_size: int,
-    capture_distributions: bool,
-    dtype: str,
-    capture_history: bool,
-) -> tuple[list[CommunityResult], np.ndarray | None]:
-    """Run one batched detection on an already-open pool (δ pre-resolved).
-
-    Shared by the one-shot entry point and the resident session, so a
-    session call executes exactly the sharding a one-shot run would.
-    """
-    if explicit is not None:
-        return pool.run_seeds(
-            explicit,
-            parameters,
-            delta,
-            batch_size=batch_size,
-            capture_distributions=capture_distributions,
-            dtype=dtype,
-            capture_history=capture_history,
-        )
-    return _pool_mode(
-        pool,
-        graph,
-        parameters,
-        delta,
-        seed=seed,
-        max_seeds=max_seeds,
-        batch_size=batch_size,
-        capture_distributions=capture_distributions,
-        dtype=dtype,
-        capture_history=capture_history,
-    )
-
-
-def detect_batched_process(
-    graph: Graph,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    *,
-    seed: int | np.random.Generator | None = None,
-    max_seeds: int | None = None,
-    batch_size: int = 8,
-    seeds: tuple[int, ...] | list[int] | None = None,
-    workers: int | None = None,
-    dtype: str = "float64",
-    capture_distributions: bool = False,
-    capture_history: bool = True,
-    mp_context: multiprocessing.context.BaseContext | None = None,
-) -> ProcessOutcome:
-    """The ``"batched"`` backend on the process tier.
-
-    Detections (and, when captured, final distributions) are identical to
-    :func:`repro.core.batched._detect_communities_batched_impl` with the same
-    knobs: explicit seed lists are sharded directly; pool mode keeps the
-    draw loop — and therefore the exact RNG draw sequence — in the parent
-    and shards each round's batch.
-    """
-    parameters = parameters or CDRWParameters()
-    explicit = _validate_batched_seeds(graph, seeds, max_seeds, batch_size)
-
-    if _is_trivial(graph, explicit, seeds is not None):
-        return _trivial_batched_outcome(
-            graph,
-            parameters,
-            delta_hint,
-            seed=seed,
-            max_seeds=max_seeds,
-            batch_size=batch_size,
-            explicit=explicit,
-            seeds_given=seeds is not None,
-            dtype=dtype,
-            capture_distributions=capture_distributions,
-            capture_history=capture_history,
-        )
-
-    delta = parameters.resolve_delta(graph, delta_hint)
-    with ProcessGraphPool(graph, workers, mp_context) as pool:
-        results, finals = _run_batched_on_pool(
-            pool,
-            graph,
-            parameters,
-            delta,
-            explicit=explicit,
-            seed=seed,
-            max_seeds=max_seeds,
-            batch_size=batch_size,
-            capture_distributions=capture_distributions,
-            dtype=dtype,
-            capture_history=capture_history,
-        )
-        detection = DetectionResult(
-            num_vertices=graph.num_vertices, communities=tuple(results)
-        )
-        return _pool_outcome(pool, detection, finals)
-
-
-def _pool_mode(
-    pool: ProcessGraphPool,
-    graph: Graph,
-    parameters: CDRWParameters,
-    delta: float,
-    *,
-    seed: int | np.random.Generator | None,
-    max_seeds: int | None,
-    batch_size: int,
-    capture_distributions: bool,
-    dtype: str,
-    capture_history: bool = True,
-) -> tuple[list[CommunityResult], np.ndarray | None]:
-    """Algorithm 1's pool loop with each round's batch sharded across workers.
-
-    The loop itself is the *same* :func:`~repro.core.batched._pool_loop` the
-    serial impl runs — the draws happen in the parent against the same
-    shrinking membership mask with the same generator, only each round's
-    batch executes on the worker pool — so the drawn seed sequence (and with
-    it every detection) matches the serial facade exactly
-    (``tests/test_process_executor.py`` pins it).
-    """
-    final_chunks: list[np.ndarray] = []
-
-    def run_batch(round_seeds: list[int]) -> list[CommunityResult]:
-        round_results, round_finals = pool.run_seeds(
-            round_seeds,
-            parameters,
-            delta,
-            batch_size=batch_size,
-            capture_distributions=capture_distributions,
-            dtype=dtype,
-            capture_history=capture_history,
-        )
-        if round_finals is not None:
-            final_chunks.append(round_finals)
-        return round_results
-
-    results = _pool_loop(graph, as_rng(seed), batch_size, max_seeds, run_batch)
-    if not capture_distributions:
-        return results, None
-    finals = (
-        np.hstack(final_chunks)
-        if final_chunks
-        else np.zeros((graph.num_vertices, 0), dtype=np.float64)
-    )
-    return results, finals
-
-
-def _validate_parallel_args(num_communities: int, overlap_merge_threshold: float) -> None:
-    """Shared argument validation for the one-shot and session entry points."""
-    if num_communities < 1:
-        raise AlgorithmError(f"num_communities must be >= 1, got {num_communities}")
-    if not (0.0 < overlap_merge_threshold <= 1.0):
-        raise AlgorithmError(
-            f"overlap_merge_threshold must be in (0, 1], got {overlap_merge_threshold}"
-        )
-
-
-def _run_parallel_on_pool(
-    pool: ProcessGraphPool,
-    graph: Graph,
-    parameters: CDRWParameters,
-    delta: float,
-    spread: list[int],
-    overlap_merge_threshold: float,
-    capture_history: bool = True,
-) -> DetectionResult:
-    """Shard the ``r`` spread-seed detections on an open pool and resolve.
-
-    Shared by the one-shot entry point and the resident session; the
-    duplicate-merge / overlap-resolution steps run in the parent through the
-    same :func:`~repro.core.parallel._merge_and_resolve` the thread tier
-    uses, so the resolved communities are identical to the serial facade's.
-    """
-    raw_results, distributions = pool.run_seeds(
-        spread,
-        parameters,
-        delta,
-        batch_size=len(spread),
-        capture_distributions=True,
-        capture_history=capture_history,
-    )
-    resolved = _merge_and_resolve(
-        list(raw_results), distributions, overlap_merge_threshold
-    )
-    return DetectionResult(num_vertices=graph.num_vertices, communities=tuple(resolved))
-
-
-def detect_parallel_process(
-    graph: Graph,
-    num_communities: int,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    *,
-    seed: int | np.random.Generator | None = None,
-    overlap_merge_threshold: float = 0.5,
-    seed_min_distance: int = 2,
-    workers: int | None = None,
-    capture_history: bool = True,
-    mp_context: multiprocessing.context.BaseContext | None = None,
-) -> ProcessOutcome:
-    """The ``"parallel"`` backend on the process tier.
-
-    Seed spreading runs in the parent (same draws as the serial path), the
-    ``r`` detections are sharded across the workers with their final
-    distributions captured, and the duplicate-merge / overlap-resolution
-    steps run in the parent (see :func:`_run_parallel_on_pool`) — so the
-    resolved communities are identical to the serial facade's.
-    """
-    _validate_parallel_args(num_communities, overlap_merge_threshold)
-    parameters = parameters or CDRWParameters()
-    rng = as_rng(seed)
-
-    spread = select_spread_seeds(
-        graph, num_communities, min_distance=seed_min_distance, seed=rng
-    )
-    if graph.num_edges == 0:
-        raw_results, distributions = _detect_community_batch_impl(
-            graph,
-            spread,
-            parameters,
-            delta_hint,
-            capture_distributions=True,
-            workers=1,
-            capture_history=capture_history,
-        )
-        resolved = _merge_and_resolve(
-            list(raw_results), distributions, overlap_merge_threshold
-        )
-        detection = DetectionResult(
-            num_vertices=graph.num_vertices, communities=tuple(resolved)
-        )
-        return _serial_outcome(detection, None)
-
-    delta = parameters.resolve_delta(graph, delta_hint)
-    with ProcessGraphPool(graph, workers, mp_context) as pool:
-        detection = _run_parallel_on_pool(
-            pool,
-            graph,
-            parameters,
-            delta,
-            spread,
-            overlap_merge_threshold,
-            capture_history=capture_history,
-        )
-        return _pool_outcome(pool, detection, None)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,18 +60,15 @@ import scipy.sparse as sp
 
 from .core.batched import _detect_communities_batched_impl
 from .core.parameters import CDRWParameters
+from .core.result import DetectionResult
 from .exceptions import RandomWalkError, ReproError
 from .execution import resolve_workers
-from .execution_process import (
-    ProcessOutcome,
-    _is_trivial,
-    _preferred_context,
-    _validate_batched_seeds,
-)
+from .execution_process import _preferred_context
 from .graphs.graph import Graph
 from .kmachine.partition import RandomVertexPartition
 from .kmachine.simulator import KMachineNetwork
 from .randomwalk.transition import lazy_transition_matrix, reverse_transition_matrix
+from .session import _is_trivial, _validate_batched_seeds
 
 __all__ = [
     "ShardedWalkPool",
@@ -421,6 +418,16 @@ class ShardedBatchedWalk:
 # ----------------------------------------------------------------------
 # Backend entry point
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ProcessOutcome:
+    """What the sharded tier hands back to the :mod:`repro.api` runner."""
+
+    detection: DetectionResult
+    final_distributions: np.ndarray | None = None
+    timings: dict[str, float] = field(default_factory=dict)
+    extras: dict[str, object] = field(default_factory=dict)
+
+
 def detect_batched_sharded(
     graph: Graph,
     parameters: CDRWParameters | None = None,
@@ -451,7 +458,7 @@ def detect_batched_sharded(
     parameters = parameters or CDRWParameters()
     explicit = _validate_batched_seeds(graph, seeds, max_seeds, batch_size)
 
-    if _is_trivial(graph, explicit, seeds is not None):
+    if _is_trivial(graph, explicit):
         # Edgeless / empty runs take the scalar fast path inline — there is
         # no walk to shard (identical results by the batch guarantee).
         outcome = _detect_communities_batched_impl(

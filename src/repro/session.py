@@ -1,42 +1,51 @@
-"""Resident detection service: one graph, many ``detect()`` calls, no re-setup.
+"""The one execution path of the ``batched`` and ``parallel`` backends.
 
-The one-shot :func:`repro.api.detect` facade rebuilds everything a call
-needs from scratch: the process tier re-broadcasts the CSR arrays into
-shared memory and forks a fresh worker pool, the thread tier rebuilds the
-transition operator and the batched mixing-set search, and both re-resolve
-the stopping parameter δ.  That is the right trade for a script that runs
-once — and exactly the wrong one for the ROADMAP's north-star shape of a
-resident service answering a stream of community queries against one big
-social graph, where per-call setup dwarfs the per-call work.
+Every run of these two backends — a one-shot :func:`repro.api.detect` call
+as much as a call on a long-lived session — executes here, on a
+:class:`DetectionSession`.  A one-shot call opens a private session, runs
+one call on it and closes it; a service keeps one open across calls.
 
-:class:`DetectionSession` is that resident service, scoped to one graph:
+Each backend has **one driver**, which owns everything the tiers share:
+argument validation, the edgeless/empty fast path, Algorithm 1's pool loop
+(:func:`~repro.core.batched._pool_loop`) or the parallel spread-seed draw,
+the merge/resolve step and the bundling of ``final_distributions``.  The
+execution tier is a **strategy** the driver is handed — one callable
+``run(seeds, batch_size) -> (results, finals | None)``:
+
+* ``"thread"`` — the in-process batched kernel, fed the session's cached
+  transition operator and batched mixing-set search;
+* ``"process"`` — :meth:`~repro.execution_process.ProcessGraphPool.run_seeds`
+  on the session's worker pool, which shards the whole seed list across
+  the workers in one concurrent wave.
+
+All randomness stays in the driver, in the calling process, so both tiers
+see the exact draw sequence, and per-seed results do not depend on how a
+strategy groups the seeds (the batched kernels' per-column contracts).
+The computed payload — detections, cost totals, artifacts — is therefore
+identical on both tiers at every worker count
+(``tests/test_process_executor.py``) and between resident and one-shot
+calls (``tests/test_session.py``).
+
+What a session keeps resident across calls:
 
 * **One broadcast.**  The first process-tier call copies the CSR arrays
   into :class:`~repro.execution_process.SharedGraph` segments; every later
-  call reuses them (``session_broadcasts`` in the report metadata stays at
-  1).  The :class:`~repro.execution_process.ProcessGraphPool` persists
-  across calls too — only the executor is rebuilt if the resolved worker
-  count changes, never the broadcast.
-* **Cached derived state.**  The thread tier caches the walk operator (per
-  laziness flag), the :class:`~repro.core.mixing_set.BatchedMixingSetSearch`
-  (per parameters/workers/dtype) and the resolved δ (per parameters/hint);
-  the stationary distribution is computed at most once.  All of these are
-  deterministic functions of the graph and the knobs, so reuse changes no
-  float.
+  call reuses them (``session_broadcasts`` stays at 1).  The
+  :class:`~repro.execution_process.ProcessGraphPool` persists too — a
+  worker-count change rebuilds only the executor, never the broadcast.
+* **Cached derived state.**  The walk operator (per laziness flag), the
+  batched search (per parameters/workers/dtype) and the resolved δ (per
+  parameters/hint) are built once; the stationary distribution at most
+  once.  All are deterministic functions of the graph and the knobs, so
+  reuse changes no float.  Within one call they are resolved once, however
+  many pool rounds the call runs.
 * **Request coalescing.**  :meth:`DetectionSession.detect_batch` folds many
-  single-seed requests into one ``detect_community_batch`` shard wave —
-  the batched kernels make width nearly free, and per-seed results are
-  independent of batch composition, so the coalesced answers are identical
-  to one-at-a-time calls.
+  single-seed requests into one shard wave.
 
-Every session call routes through the same facade
-(``detect(graph, session=...)`` or the :meth:`DetectionSession.detect`
-convenience) and produces a full :class:`~repro.api.RunReport` whose
-computed payload — detections, cost totals, artifacts — is **bit-identical**
-to the session-free facade at every worker count on both executors
-(``tests/test_session.py`` pins it).  The report's metadata additionally
-carries ``session_calls`` / ``session_broadcasts`` / ``session_pool_reused``
-and the cache-hit flags, so reuse is observable without instrumentation.
+Every report carries ``session_calls`` / ``session_broadcasts`` and the
+per-tier reuse flags (``session_pool_reused`` or ``session_operator_reused``
+/ ``session_search_reused``, plus ``session_delta_reused``); a one-shot
+report shows the first-call values.
 
 Usage::
 
@@ -55,17 +64,21 @@ caches.  Concurrent callers belong behind
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .api import BackendOutcome, RunConfig, RunReport, _distribution_rows
+from .core.batched import _detect_community_batch_impl, _pool_loop
+from .core.parallel import _merge_and_resolve, select_spread_seeds
 from .core.parameters import CDRWParameters
-from .core.result import DetectionResult
+from .core.result import CommunityResult, DetectionResult
 from .exceptions import AlgorithmError, BackendError, SessionBusyError
 from .execution import EXECUTOR_PROCESS, resolve_executor, resolve_workers
 from .graphs.graph import Graph
+from .utils import as_rng
 
 if TYPE_CHECKING:
     from .core.mixing_set import BatchedMixingSetSearch
@@ -359,8 +372,8 @@ class DetectionSession:
         """The persistent worker pool, broadcasting the graph at most once.
 
         A worker-count change rebuilds only the executor; the shared-memory
-        segments survive (the pool is constructed with ``shared=`` and does
-        not own them), so ``session_broadcasts`` never exceeds 1.
+        segments belong to the session, not the pool, so they survive it and
+        ``session_broadcasts`` never exceeds 1.
         """
         from .execution_process import ProcessGraphPool, SharedGraph
 
@@ -373,27 +386,13 @@ class DetectionSession:
             return self._pool, True
         if self._pool is not None:
             self._pool.close()
-        self._pool = ProcessGraphPool(self.graph, resolved, shared=self._shared)
+            self._pool = None
+        self._pool = ProcessGraphPool(self._shared, resolved)
         return self._pool, False
 
     # ------------------------------------------------------------------
-    # Backend entry points (called by the api runners when session= is set)
+    # Backend entry points (called by the api runners)
     # ------------------------------------------------------------------
-    def _session_extras(self, **flags: object) -> dict[str, object]:
-        with self._state_lock:
-            extras: dict[str, object] = {
-                "session_calls": self._calls,
-                "session_broadcasts": self._broadcasts,
-            }
-        extras.update(flags)
-        return extras
-
-    def _ensure_open(self) -> None:
-        with self._state_lock:
-            closed = self._closed
-        if closed:
-            raise BackendError("the detection session is closed")
-
     #: SessionBusyError text shared by both backend entry points.
     _BUSY_MESSAGE = (
         "DetectionSession serves one call at a time: another detect() "
@@ -408,150 +407,14 @@ class DetectionSession:
         config: RunConfig,
         delta_hint: float | None,
     ) -> BackendOutcome:
-        """The ``"batched"`` backend with this session's residents.
-
-        Mirrors :func:`repro.api._batched_runner` stage for stage — same
-        validation, same trivial fast path, same sharding / batching — with
-        the per-call setup replaced by cache lookups, so the computed
-        payload is bit-identical to the one-shot facade.
-        """
+        """The ``"batched"`` backend on this session: admission, then the driver."""
         if not self._busy.acquire(blocking=False):
             raise SessionBusyError(self._BUSY_MESSAGE)
         try:
-            self._ensure_open()
-            params = params or CDRWParameters()
-            with self._state_lock:
-                self._calls += 1
-            executor = resolve_executor(config.executor)
-            if executor == EXECUTOR_PROCESS:
-                return self._run_batched_process(params, config, delta_hint)
-            return self._run_batched_thread(params, config, delta_hint, executor)
+            self._admit()
+            return self._drive_batched(params or CDRWParameters(), config, delta_hint)
         finally:
             self._busy.release()
-
-    def _run_batched_thread(  # repro: requires(_busy)
-        self,
-        params: CDRWParameters,
-        config: RunConfig,
-        delta_hint: float | None,
-        executor: str,
-    ) -> BackendOutcome:
-        from .core.batched import _detect_communities_batched_impl
-
-        graph = self.graph
-        trivial = graph.num_edges == 0 or graph.num_vertices == 0
-        if trivial:
-            # The impl's edgeless fast path never touches the operator, the
-            # search or δ; building them here could even divide by zero on
-            # an edgeless graph, exactly like a fresh call never does.
-            operator, search = None, None
-            operator_reused = search_reused = delta_reused = False
-            hint = delta_hint
-        else:
-            operator, operator_reused = self._walk_operator(params.lazy_walk)
-            search, search_reused = self._search(params, config.workers, config.dtype)
-            hint, delta_reused = self._resolve_delta(params, delta_hint)
-        result = _detect_communities_batched_impl(
-            graph,
-            params,
-            hint,
-            seed=config.seed,
-            max_seeds=config.max_seeds,
-            batch_size=config.batch_size,
-            seeds=config.seeds,
-            workers=config.workers,
-            dtype=np.dtype(config.dtype),
-            capture_distributions=config.capture_distributions,
-            capture_history=config.capture_history,
-            walk_operator=operator,
-            search=search,
-        )
-        artifacts: dict[str, object] = {}
-        finals = None
-        if config.capture_distributions:
-            detection, finals = result
-            artifacts["final_distributions"] = _distribution_rows(finals)
-        else:
-            detection = result
-        extras = self._session_extras(
-            executor=executor,
-            session_operator_reused=operator_reused,
-            session_search_reused=search_reused,
-            session_delta_reused=delta_reused,
-        )
-        return BackendOutcome(
-            detection=detection, extras=extras, artifacts=artifacts, native=finals
-        )
-
-    def _run_batched_process(  # repro: requires(_busy)
-        self, params: CDRWParameters, config: RunConfig, delta_hint: float | None
-    ) -> BackendOutcome:
-        from .execution_process import (
-            _is_trivial,
-            _pool_outcome,
-            _run_batched_on_pool,
-            _trivial_batched_outcome,
-            _validate_batched_seeds,
-        )
-
-        graph = self.graph
-        explicit = _validate_batched_seeds(
-            graph, config.seeds, config.max_seeds, config.batch_size
-        )
-        if _is_trivial(graph, explicit, config.seeds is not None):
-            outcome = _trivial_batched_outcome(
-                graph,
-                params,
-                delta_hint,
-                seed=config.seed,
-                max_seeds=config.max_seeds,
-                batch_size=config.batch_size,
-                explicit=explicit,
-                seeds_given=config.seeds is not None,
-                dtype=config.dtype,
-                capture_distributions=config.capture_distributions,
-                capture_history=config.capture_history,
-            )
-            extras = self._session_extras(
-                session_pool_reused=False, session_delta_reused=False
-            )
-        else:
-            delta, delta_reused = self._resolve_delta(params, delta_hint)
-            pool, pool_reused = self._ensure_pool(config.workers)
-            mark = pool.mark()
-            results, finals = _run_batched_on_pool(
-                pool,
-                graph,
-                params,
-                delta,
-                explicit=explicit,
-                seed=config.seed,
-                max_seeds=config.max_seeds,
-                batch_size=config.batch_size,
-                capture_distributions=config.capture_distributions,
-                dtype=config.dtype,
-                capture_history=config.capture_history,
-            )
-            detection = DetectionResult(
-                num_vertices=graph.num_vertices, communities=tuple(results)
-            )
-            outcome = _pool_outcome(pool, detection, finals, since=mark)
-            extras = self._session_extras(
-                session_pool_reused=pool_reused, session_delta_reused=delta_reused
-            )
-        artifacts: dict[str, object] = {}
-        finals = None
-        if config.capture_distributions and outcome.final_distributions is not None:
-            finals = outcome.final_distributions
-            artifacts["final_distributions"] = _distribution_rows(finals)
-        extras = {**outcome.extras, **extras}
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras=extras,
-            artifacts=artifacts,
-            native=finals,
-        )
 
     def _run_parallel(
         self,
@@ -559,128 +422,313 @@ class DetectionSession:
         config: RunConfig,
         delta_hint: float | None,
     ) -> BackendOutcome:
-        """The ``"parallel"`` backend with this session's residents.
-
-        Mirrors :func:`repro.api._parallel_runner` stage for stage: seed
-        spreading and conflict resolution stay in the calling process with
-        the exact one-shot draw sequence; only the setup is cached.
-        """
+        """The ``"parallel"`` backend on this session: admission, then the driver."""
         if not self._busy.acquire(blocking=False):
             raise SessionBusyError(self._BUSY_MESSAGE)
         try:
-            self._ensure_open()
-            params = params or CDRWParameters()
-            with self._state_lock:
-                self._calls += 1
-            executor = resolve_executor(config.executor)
-            if executor == EXECUTOR_PROCESS:
-                return self._run_parallel_process(params, config, delta_hint)
-            return self._run_parallel_thread(params, config, delta_hint, executor)
+            self._admit()
+            return self._drive_parallel(params or CDRWParameters(), config, delta_hint)
         finally:
             self._busy.release()
 
-    def _run_parallel_thread(  # repro: requires(_busy)
+    def _admit(self) -> None:  # repro: requires(_busy)
+        with self._state_lock:
+            if self._closed:
+                raise BackendError("the detection session is closed")
+            self._calls += 1
+
+    # ------------------------------------------------------------------
+    # The drivers
+    # ------------------------------------------------------------------
+    def _drive_batched(  # repro: requires(_busy)
+        self, params: CDRWParameters, config: RunConfig, delta_hint: float | None
+    ) -> BackendOutcome:
+        """Algorithm 1's pool loop, or an explicit seed list, on the call's tier.
+
+        Explicit seeds go to the strategy as one list (the process tier
+        shards it in one wave); pool mode draws each round in this process,
+        so both tiers see the same draw sequence, and hands the round to
+        the strategy.
+        """
+        graph = self.graph
+        explicit = _validate_batched_seeds(
+            graph, config.seeds, config.max_seeds, config.batch_size
+        )
+        tier = self._tier(
+            params,
+            config,
+            delta_hint,
+            trivial=_is_trivial(graph, explicit),
+            dtype=config.dtype,
+            capture_distributions=config.capture_distributions,
+        )
+        final_chunks: list[np.ndarray] = []
+
+        def run_batch(seeds: list[int]) -> list[CommunityResult]:
+            results, finals = tier.run(seeds, config.batch_size)
+            if finals is not None:
+                final_chunks.append(finals)
+            return results
+
+        if explicit is not None:
+            results = run_batch(explicit)
+        else:
+            results = _pool_loop(
+                graph, as_rng(config.seed), config.batch_size, config.max_seeds, run_batch
+            )
+        detection = DetectionResult(
+            num_vertices=graph.num_vertices, communities=tuple(results)
+        )
+        finals = None
+        if config.capture_distributions:
+            finals = (
+                np.hstack(final_chunks)
+                if final_chunks
+                else np.zeros((graph.num_vertices, 0), dtype=np.float64)
+            )
+        return self._outcome(tier, detection, finals)
+
+    def _drive_parallel(  # repro: requires(_busy)
+        self, params: CDRWParameters, config: RunConfig, delta_hint: float | None
+    ) -> BackendOutcome:
+        """The ``r`` spread seeds as one batch, then duplicate merge and overlap
+        resolution on their final distributions."""
+        graph = self.graph
+        count = _validate_parallel_args(
+            config.num_communities, config.overlap_merge_threshold
+        )
+        spread = select_spread_seeds(
+            graph, count, min_distance=config.seed_min_distance, seed=as_rng(config.seed)
+        )
+        # The scan runs in float64 whatever config.dtype says: conflict
+        # resolution compares final distributions exactly.
+        tier = self._tier(
+            params,
+            config,
+            delta_hint,
+            trivial=_is_trivial(graph, spread),
+            dtype="float64",
+            capture_distributions=True,
+        )
+        raw_results, distributions = tier.run(spread, len(spread))
+        assert distributions is not None
+        resolved = _merge_and_resolve(
+            raw_results, distributions, config.overlap_merge_threshold
+        )
+        detection = DetectionResult(
+            num_vertices=graph.num_vertices, communities=tuple(resolved)
+        )
+        return self._outcome(tier, detection, None)
+
+    def _tier(  # repro: requires(_busy)
         self,
         params: CDRWParameters,
         config: RunConfig,
         delta_hint: float | None,
-        executor: str,
-    ) -> BackendOutcome:
-        from .core.parallel import _detect_communities_parallel_impl
+        *,
+        trivial: bool,
+        dtype: str,
+        capture_distributions: bool,
+    ) -> _Tier:
+        """Resolve the call's setup and choose its strategy.
 
-        graph = self.graph
-        if graph.num_edges == 0 or graph.num_vertices == 0:
-            operator, search = None, None
-            operator_reused = search_reused = delta_reused = False
-            hint = delta_hint
-        else:
-            operator, operator_reused = self._walk_operator(params.lazy_walk)
-            search, search_reused = self._search(params, config.workers, config.dtype)
-            hint, delta_reused = self._resolve_delta(params, delta_hint)
-        detection = _detect_communities_parallel_impl(
-            graph,
-            config.num_communities,
-            params,
-            hint,
-            seed=config.seed,
-            overlap_merge_threshold=config.overlap_merge_threshold,
-            seed_min_distance=config.seed_min_distance,
-            workers=config.workers,
-            capture_history=config.capture_history,
-            walk_operator=operator,
-            search=search,
-        )
-        extras = self._session_extras(
-            executor=executor,
-            session_operator_reused=operator_reused,
-            session_search_reused=search_reused,
-            session_delta_reused=delta_reused,
-        )
-        return BackendOutcome(detection=detection, extras=extras)
-
-    def _run_parallel_process(  # repro: requires(_busy)
-        self, params: CDRWParameters, config: RunConfig, delta_hint: float | None
-    ) -> BackendOutcome:
-        from .core.batched import _detect_community_batch_impl
-        from .core.parallel import _merge_and_resolve, select_spread_seeds
-        from .execution_process import (
-            _pool_outcome,
-            _run_parallel_on_pool,
-            _serial_outcome,
-            _validate_parallel_args,
-        )
-        from .utils import as_rng
-
-        graph = self.graph
-        _validate_parallel_args(
-            config.num_communities, config.overlap_merge_threshold
-        )
-        rng = as_rng(config.seed)
-        spread = select_spread_seeds(
-            graph,
-            config.num_communities,
-            min_distance=config.seed_min_distance,
-            seed=rng,
-        )
-        if graph.num_edges == 0:
-            raw_results, distributions = _detect_community_batch_impl(
-                graph,
-                spread,
-                params,
-                delta_hint,
-                capture_distributions=True,
-                workers=1,
-                capture_history=config.capture_history,
+        A trivial run (see :func:`_is_trivial`) takes the kernel's edgeless
+        fast path inline on either tier: it reads no δ, operator or search —
+        on an edgeless graph they could not even be built — and no pool is
+        worth starting for it.
+        """
+        executor = resolve_executor(config.executor)
+        process = executor == EXECUTOR_PROCESS
+        if trivial:
+            run = _kernel_strategy(
+                self.graph, params, delta_hint, config, dtype, capture_distributions
             )
-            resolved = _merge_and_resolve(
-                list(raw_results), distributions, config.overlap_merge_threshold
-            )
-            detection = DetectionResult(
-                num_vertices=graph.num_vertices, communities=tuple(resolved)
-            )
-            outcome = _serial_outcome(detection, None)
-            extras = self._session_extras(
-                session_pool_reused=False, session_delta_reused=False
-            )
-        else:
-            delta, delta_reused = self._resolve_delta(params, delta_hint)
+            if process:
+                flags: dict[str, object] = {
+                    "worker_processes": 0,
+                    "process_tasks": 0,
+                    "session_pool_reused": False,
+                }
+            else:
+                flags = {"session_operator_reused": False, "session_search_reused": False}
+            return _Tier(run, {"executor": executor, **flags, "session_delta_reused": False})
+        delta, delta_reused = self._resolve_delta(params, delta_hint)
+        if process:
             pool, pool_reused = self._ensure_pool(config.workers)
-            mark = pool.mark()
-            detection = _run_parallel_on_pool(
-                pool,
+
+            def run_on_pool(
+                seeds: list[int], batch_size: int
+            ) -> tuple[list[CommunityResult], np.ndarray | None]:
+                return pool.run_seeds(
+                    seeds,
+                    params,
+                    delta,
+                    batch_size=batch_size,
+                    capture_distributions=capture_distributions,
+                    dtype=dtype,
+                    capture_history=config.capture_history,
+                )
+
+            extras: dict[str, object] = {
+                "executor": executor,
+                "worker_processes": pool.workers,
+                "session_pool_reused": pool_reused,
+                "session_delta_reused": delta_reused,
+            }
+            return _Tier(run_on_pool, extras, pool=pool, mark=pool.mark())
+        operator, operator_reused = self._walk_operator(params.lazy_walk)
+        search, search_reused = self._search(params, config.workers, dtype)
+        run = _kernel_strategy(
+            self.graph, params, delta, config, dtype, capture_distributions, operator, search
+        )
+        extras = {
+            "executor": executor,
+            "session_operator_reused": operator_reused,
+            "session_search_reused": search_reused,
+            "session_delta_reused": delta_reused,
+        }
+        return _Tier(run, extras)
+
+    def _outcome(
+        self, tier: _Tier, detection: DetectionResult, finals: np.ndarray | None
+    ) -> BackendOutcome:
+        timings, extras = tier.report()
+        with self._state_lock:
+            extras["session_calls"] = self._calls
+            extras["session_broadcasts"] = self._broadcasts
+        artifacts: dict[str, object] = {}
+        if finals is not None:
+            artifacts["final_distributions"] = _distribution_rows(finals)
+        # The raw (n, k) matrix rides along as the (unserialized) native
+        # result so in-memory consumers — detect_community_batch — read it
+        # back without re-parsing the list artifact.
+        return BackendOutcome(
+            detection=detection,
+            timings=timings,
+            extras=extras,
+            artifacts=artifacts,
+            native=finals,
+        )
+
+
+# ----------------------------------------------------------------------
+# Strategies and the drivers' shared helpers
+# ----------------------------------------------------------------------
+#: A tier's whole contract with the drivers: detect every seed of the list,
+#: at most ``batch_size`` per batched pass, and return the per-seed results
+#: in seed order plus — when distributions are captured — the ``(n,
+#: len(seeds))`` final-distribution matrix.
+Strategy = Callable[[list[int], int], tuple[list[CommunityResult], np.ndarray | None]]
+
+
+@dataclass
+class _Tier:
+    """One call's strategy and what its report says about the tier."""
+
+    run: Strategy
+    extras: dict[str, object]
+    pool: ProcessGraphPool | None = None
+    mark: int = 0
+
+    def report(self) -> tuple[dict[str, float], dict[str, object]]:
+        """Timings and metadata of the call, the pool's shards since ``mark``."""
+        if self.pool is None:
+            return {}, dict(self.extras)
+        extras = {**self.extras, "process_tasks": self.pool.tasks_issued - self.mark}
+        return self.pool.shard_timings(since=self.mark), extras
+
+
+def _kernel_strategy(
+    graph: Graph,
+    params: CDRWParameters,
+    delta: float | None,
+    config: RunConfig,
+    dtype: str,
+    capture_distributions: bool,
+    operator: sp.csr_matrix | None = None,
+    search: BatchedMixingSetSearch | None = None,
+) -> Strategy:
+    """The thread tier: the in-process kernel, ``batch_size`` seeds per pass."""
+
+    def run(
+        seeds: list[int], batch_size: int
+    ) -> tuple[list[CommunityResult], np.ndarray | None]:
+        results: list[CommunityResult] = []
+        chunks: list[np.ndarray] = []
+        for start in range(0, len(seeds), batch_size):
+            outcome = _detect_community_batch_impl(
                 graph,
+                seeds[start:start + batch_size],
                 params,
                 delta,
-                spread,
-                config.overlap_merge_threshold,
+                capture_distributions=capture_distributions,
+                workers=config.workers,
+                dtype=np.dtype(dtype),
                 capture_history=config.capture_history,
+                walk_operator=operator,
+                search=search,
             )
-            outcome = _pool_outcome(pool, detection, None, since=mark)
-            extras = self._session_extras(
-                session_pool_reused=pool_reused, session_delta_reused=delta_reused
+            if isinstance(outcome, tuple):
+                batch, finals = outcome
+                chunks.append(finals)
+            else:
+                batch = outcome
+            results.extend(batch)
+        return results, (np.hstack(chunks) if chunks else None)
+
+    return run
+
+
+def _validate_batched_seeds(
+    graph: Graph,
+    seeds: tuple[int, ...] | list[int] | None,
+    max_seeds: int | None,
+    batch_size: int,
+) -> list[int] | None:
+    """Check a batched run's knobs before any setup or pool work.
+
+    Returns the truncated explicit seed list, or ``None`` in pool mode.
+    """
+    if batch_size < 1:
+        raise AlgorithmError(f"batch_size must be >= 1, got {batch_size}")
+    if seeds is None:
+        return None
+    explicit = [int(s) for s in seeds]
+    if max_seeds is not None:
+        explicit = explicit[:max_seeds]
+    for seed_vertex in explicit:
+        if seed_vertex not in graph:
+            raise AlgorithmError(
+                f"seed vertex {seed_vertex} is not a vertex of {graph!r}"
             )
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras={**outcome.extras, **extras},
+    return explicit
+
+
+def _is_trivial(graph: Graph, explicit: list[int] | None) -> bool:
+    """Whether a run needs no setup: edgeless/empty graph or an empty seed list.
+
+    ``explicit`` is ``None`` in pool mode.
+    """
+    return (
+        graph.num_edges == 0
+        or graph.num_vertices == 0
+        or (explicit is not None and not explicit)
+    )
+
+
+def _validate_parallel_args(
+    num_communities: int | None, overlap_merge_threshold: float
+) -> int:
+    """Check the parallel backend's knobs; returns the community count ``r``."""
+    if num_communities is None:
+        raise BackendError(
+            "the 'parallel' backend needs the community-count estimate r: "
+            "pass config=RunConfig(num_communities=...)"
         )
+    if num_communities < 1:
+        raise AlgorithmError(f"num_communities must be >= 1, got {num_communities}")
+    if not (0.0 < overlap_merge_threshold <= 1.0):
+        raise AlgorithmError(
+            f"overlap_merge_threshold must be in (0, 1], got {overlap_merge_threshold}"
+        )
+    return num_communities

@@ -19,12 +19,7 @@ from repro.api import RunConfig, RunReport, detect
 from repro.core.batched import detect_community_batch
 from repro.exceptions import AlgorithmError, BackendError, ReproError
 from repro.execution import resolve_executor
-from repro.execution_process import (
-    ProcessGraphPool,
-    SharedGraph,
-    detect_batched_process,
-    detect_parallel_process,
-)
+from repro.execution_process import ProcessGraphPool, SharedGraph
 from repro.graphs import Graph, planted_partition_graph, ppm_expected_conductance
 
 WORKER_COUNTS = (1, 2, 4)
@@ -312,22 +307,42 @@ class TestProcessReport:
 
 
 # ----------------------------------------------------------------------
-# Direct process-tier entry points
+# Process-tier argument validation and the pool itself
 # ----------------------------------------------------------------------
+def _forbid_pool_start(monkeypatch) -> None:
+    """Make any broadcast or pool start on the process tier fail the test."""
+    import repro.execution_process as execution_process
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the process tier started a broadcast or a pool")
+
+    monkeypatch.setattr(execution_process, "SharedGraph", forbidden)
+    monkeypatch.setattr(execution_process, "ProcessGraphPool", forbidden)
+
+
 class TestProcessEntryPoints:
-    def test_invalid_seed_rejected_before_pool_start(self, two_cliques_graph):
+    def test_invalid_seed_rejected_before_pool_start(self, two_cliques_graph, monkeypatch):
+        _forbid_pool_start(monkeypatch)
         with pytest.raises(AlgorithmError):
-            detect_batched_process(two_cliques_graph, seeds=(99,), workers=2)
+            detect(
+                two_cliques_graph, "batched", seeds=(99,), executor="process", workers=2
+            )
 
     def test_invalid_batch_size_rejected(self, two_cliques_graph):
         with pytest.raises(AlgorithmError):
-            detect_batched_process(two_cliques_graph, batch_size=0)
+            detect(two_cliques_graph, "batched", batch_size=0, executor="process")
 
     def test_parallel_validations(self, two_cliques_graph):
         with pytest.raises(AlgorithmError):
-            detect_parallel_process(two_cliques_graph, 0)
+            detect(two_cliques_graph, "parallel", num_communities=0, executor="process")
         with pytest.raises(AlgorithmError):
-            detect_parallel_process(two_cliques_graph, 2, overlap_merge_threshold=0.0)
+            detect(
+                two_cliques_graph,
+                "parallel",
+                num_communities=2,
+                overlap_merge_threshold=0.0,
+                executor="process",
+            )
 
     def test_shim_capture_matches_direct_impl(self, ppm):
         from repro.core.batched import _detect_community_batch_impl
@@ -349,7 +364,7 @@ class TestProcessEntryPoints:
         instance, delta = ppm
         from repro.core.batched import _detect_community_batch_impl
 
-        with ProcessGraphPool(instance.graph, workers=2) as pool:
+        with SharedGraph(instance.graph) as shared, ProcessGraphPool(shared, 2) as pool:
             first, _ = pool.run_seeds([0, 9], None, delta, batch_size=2)
             second, _ = pool.run_seeds([30, 55, 70], None, delta, batch_size=2)
         expected_first = _detect_community_batch_impl(instance.graph, [0, 9], None, delta)
@@ -362,7 +377,7 @@ class TestProcessEntryPoints:
 
 
 # ----------------------------------------------------------------------
-# Segment lifetime: the finalizer guard and externally-owned broadcasts
+# Segment lifetime: the finalizer guard and the pool's borrowed broadcast
 # ----------------------------------------------------------------------
 class TestSharedGraphFinalizer:
     def test_orphaned_owner_unlinks_segments(self, triangle_graph):
@@ -384,10 +399,10 @@ class TestSharedGraphFinalizer:
             shared.handle.attach()
 
     def test_pool_with_external_broadcast_does_not_unlink(self, ppm):
-        """A pool built on a session-owned SharedGraph leaves its segments alive."""
+        """A pool leaves the segments of the broadcast it was given alive."""
         instance, delta = ppm
         with SharedGraph(instance.graph) as shared:
-            pool = ProcessGraphPool(instance.graph, workers=1, shared=shared)
+            pool = ProcessGraphPool(shared, 1)
             try:
                 results, _ = pool.run_seeds([0], None, delta, batch_size=1)
                 assert len(results) == 1
@@ -399,15 +414,6 @@ class TestSharedGraphFinalizer:
         with pytest.raises(FileNotFoundError):
             shared.handle.attach()
 
-    def test_owned_broadcast_unlinked_on_pool_close(self, ppm):
-        instance, delta = ppm
-        pool = ProcessGraphPool(instance.graph, workers=1)
-        handle = pool._shared.handle
-        pool.run_seeds([0], None, delta, batch_size=1)
-        pool.close()
-        with pytest.raises(FileNotFoundError):
-            handle.attach()
-
 
 # ----------------------------------------------------------------------
 # Accounting when a shard raises
@@ -415,7 +421,7 @@ class TestSharedGraphFinalizer:
 class TestPoolAccountingOnFailure:
     def test_poisoned_shard_leaves_pool_consistent_and_usable(self, ppm):
         instance, delta = ppm
-        with ProcessGraphPool(instance.graph, workers=2) as pool:
+        with SharedGraph(instance.graph) as shared, ProcessGraphPool(shared, 2) as pool:
             baseline, _ = pool.run_seeds([0, 9], None, delta, batch_size=1)
             mark = pool.mark()
             assert pool.tasks_issued == mark
