@@ -18,7 +18,10 @@ Measures, on a 1M-edge random graph:
   :class:`BatchedMixingSetSearch.largest_mixing_sets` call over ``B``
   walk columns against ``B`` scalar ``largest_mixing_set`` calls (what the
   pre-batching ``detect_community_batch`` inner loop paid per step), at
-  ``B ∈ {1, 8, 64}`` on a 250k-edge graph;
+  ``B ∈ {1, 8, 64}`` on a 20k-edge random graph (where no lane accepts a
+  size, so only the screen runs), and again on the walk columns of a
+  4-block PPM at walk lengths where every lane finds a set (the
+  ``search{B}_ppm_*`` rows, which time the accept path);
 * **parallel detection** — ``detect_communities_parallel`` (one shared
   batched walk + conflict resolution) against the pre-port scalar per-seed
   loop over the same spread seeds, at ``r ∈ {1, 8, 64}`` on an 8-block PPM;
@@ -115,6 +118,8 @@ REQUIRED_SPEEDUP = 10.0
 # shared-target amortization, which dominates at experiment sizes).
 SEARCH_VERTICES = 4_096
 SEARCH_EDGES = 20_000
+SEARCH_PPM_BLOCKS = 4
+SEARCH_PPM_LENGTHS = (1, 3, 5)
 PARALLEL_VERTICES = 2_048
 PARALLEL_BLOCKS = 8
 BATCH_WIDTHS = (1, 8, 64)
@@ -272,6 +277,55 @@ def run_benchmark() -> dict[str, float]:
         results[f"search{width}_speedup"] = (
             results[f"search{width}_scalar_s"] / results[f"search{width}_batched_s"]
         )
+
+    # -- the same search on PPM walk columns, where sets are found ------
+    n = SEARCH_VERTICES
+    search_ppm = planted_partition_graph(
+        n, SEARCH_PPM_BLOCKS, 2.0 * np.log(n) ** 2 / n, 0.6 / n, seed=3
+    )
+    ppm_walk = BatchedWalkDistribution(search_ppm.graph, search_seeds)
+    ppm_columns = []
+    for length in range(1, max(SEARCH_PPM_LENGTHS) + 1):
+        ppm_walk.step()
+        if length in SEARCH_PPM_LENGTHS:
+            ppm_columns.append((length, np.array(ppm_walk.probabilities())))
+    ppm_scalar_search = MixingSetSearch(search_ppm.graph, initial_size=initial_size)
+    ppm_batched_search = BatchedMixingSetSearch(search_ppm.graph, initial_size=initial_size)
+    for width in BATCH_WIDTHS:
+        subsets = [
+            (length, np.ascontiguousarray(columns[:, :width])) for length, columns in ppm_columns
+        ]
+        per_column = [
+            (length, [np.ascontiguousarray(subset[:, j]) for j in range(width)])
+            for length, subset in subsets
+        ]
+        results[f"search{width}_ppm_scalar_s"] = _best_of(
+            lambda: [
+                ppm_scalar_search.largest_mixing_set(column, length)
+                for length, columns in per_column
+                for column in columns
+            ],
+            repeats=1,
+        )
+        results[f"search{width}_ppm_batched_s"] = _best_of(
+            lambda: [
+                ppm_batched_search.largest_mixing_sets(subset, length)
+                for length, subset in subsets
+            ],
+            repeats=1,
+        )
+        results[f"search{width}_ppm_speedup"] = (
+            results[f"search{width}_ppm_scalar_s"] / results[f"search{width}_ppm_batched_s"]
+        )
+    # Identity: how many (lane, length) searches accept a size, so a
+    # change that stops these rows from timing the accept path is flagged.
+    results["search_ppm_found"] = float(
+        sum(
+            result.found
+            for length, columns in ppm_columns
+            for result in ppm_batched_search.largest_mixing_sets(columns, length)
+        )
+    )
 
     # -- worker scaling: threaded B=64 mixing-set search ----------------
     widest = np.ascontiguousarray(distributions[:, : max(BATCH_WIDTHS)])
@@ -524,6 +578,15 @@ def print_table(results: dict[str, float]) -> None:
     for width in BATCH_WIDTHS:
         rows.append(
             (
+                f"mixing search PPM B={width}",
+                f"search{width}_ppm_scalar_s",
+                f"search{width}_ppm_batched_s",
+                f"search{width}_ppm_speedup",
+            )
+        )
+    for width in BATCH_WIDTHS:
+        rows.append(
+            (
                 f"parallel detect r={width}",
                 f"parallel{width}_scalar_s",
                 f"parallel{width}_batched_s",
@@ -750,6 +813,8 @@ def dump_json(results: dict[str, float], path: str) -> None:
             "num_seeds": NUM_SEEDS,
             "search_vertices": SEARCH_VERTICES,
             "search_edges": SEARCH_EDGES,
+            "search_ppm_blocks": SEARCH_PPM_BLOCKS,
+            "search_ppm_lengths": list(SEARCH_PPM_LENGTHS),
             "parallel_vertices": PARALLEL_VERTICES,
             "parallel_blocks": PARALLEL_BLOCKS,
             "batch_widths": list(BATCH_WIDTHS),

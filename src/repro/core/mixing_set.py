@@ -12,19 +12,40 @@ This implements lines 12-17 of Algorithm 1.  Given the walk distribution
    :mod:`repro.congest.aggregation`) and accepts the size when their sum is
    below the threshold ``1/(2e)``;
 3. candidate sizes grow geometrically by ``(1 + 1/8e)`` starting from
-   ``R = log n``; the search stops at the first size that fails and reports
-   the largest accepted size together with the vertices attaining it.
+   ``R = log n``; the search reports the largest accepted size together
+   with the vertices attaining it.
 
-The function here is the *centralized executor* of this search: it performs
-the same arithmetic as the CONGEST node programs and is what the accuracy
-experiments run (the distributed implementation produces identical sets —
-asserted by integration tests).
+The classes here are the *centralized executor* of this search: they
+perform the same arithmetic as the CONGEST node programs and are what the
+accuracy experiments run (the distributed implementation produces identical
+sets — asserted by integration tests).  The executor evaluates only what
+decides the answer:
+
+* **Descending scan.**  In the default full-scan mode the answer is the
+  largest accepted size, so the schedule is walked from the largest size
+  down and a walk stops at its first accepted size.  With
+  ``stop_at_first_failure=True`` the same loop walks the schedule upwards
+  and stops at the first failing size.
+* **Certified screen.**  Before any index work for a size ``k``, the ``k``
+  smallest deviations are summed by value (an in-place partition, no
+  argpartition, sort or gather).  That multiset is the one the exact path
+  sums, whatever the tie-break; only the summation order differs, and both
+  sums are over the same ``k`` non-negative floats, so each is within
+  ``γ = (k−1)·u / (1 − (k−1)·u)`` relative of the true sum (``u`` the unit
+  roundoff), in any summation order.  A size is rejected without index
+  work when ``screened·(1−g) ≥ threshold·(1+g)`` with ``g = 4·k·u``, which
+  covers ``γ`` for both sums plus the rounding of the comparison; everything else
+  (the guard band, NaNs, sizes that pass the deficit but may fail the mass
+  condition) takes the exact path, whose floats are the reported ones.
+
+Neither shortcut changes an output bit: ``LargestMixingSet.sizes_examined``
+keeps reporting the model's count, not the executor's work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -50,6 +71,9 @@ __all__ = [
 #: block cache-resident across the whole candidate-size schedule while still
 #: amortizing the shared per-size target computation over several lanes
 #: (measured the best compromise across n = 8k–50k at B = 64 on one core).
+#: With the screened scan, which holds a partition buffer of the same size,
+#: 256 KB–1 MB stay within ~10% of each other at n = 8k–32k and B = 64 on
+#: a 2-core host, and 2 MB and up are slower.
 _SEARCH_BLOCK_BYTES = 1 << 20
 
 
@@ -70,7 +94,11 @@ class LargestMixingSet:
     mass:
         The total walk probability currently held by the accepted set.
     sizes_examined:
-        How many candidate sizes were evaluated (for complexity accounting).
+        The model's count of candidate sizes the search evaluates: the whole
+        schedule in full-scan mode, and up to and including the first
+        failing size under ``stop_at_first_failure``.  The distributed cost
+        accounting reads it; it is not the work the centralized executor
+        did (which skips most sizes).
     """
 
     walk_length: int
@@ -109,9 +137,10 @@ def mixing_deficit_for_size(
 
     ``deficit`` is the sum of the ``subset_size`` smallest ``x_u`` values,
     ``mass`` is the walk probability held by the selected vertices and
-    ``members`` are the vertices attaining the smallest deviations (ties
-    broken by vertex id, mirroring the paper's tie-break of adding a
-    vanishing perturbation).
+    ``members`` are the selected vertices in increasing id order.  Among
+    tied deviations the selection is ``np.argpartition``'s: deterministic
+    for a given value sequence, and shared by every search path in this
+    package, but not a specified order such as "smallest vertex id first".
     """
     deviations = deviation_values(graph, distribution, subset_size)
     distribution = np.asarray(distribution, dtype=np.float64)
@@ -127,8 +156,9 @@ def mixing_deficit_for_size(
 class MixingSetSearch:
     """Runs the largest-mixing-set search of Algorithm 1 for one graph.
 
-    The search object precomputes the candidate-size schedule once so that
-    repeated calls (one per walk length) stay cheap.
+    The search object precomputes the candidate-size schedule and the
+    per-vertex degrees once so that repeated calls (one per walk length)
+    stay cheap.
     """
 
     def __init__(
@@ -169,69 +199,184 @@ class MixingSetSearch:
             self._sizes = linear_sizes(initial, graph.num_vertices)
         else:
             raise AlgorithmError(f"unknown schedule: {schedule!r}")
+        # Per-call constants, hoisted out of the size loop.  The average
+        # volume is computed as (volume/n)·size — the same float sequence as
+        # deviation_values — so targets stay bit-identical to it.
+        self._degrees = graph.degrees().astype(np.float64)
+        self._volume_per_vertex = graph.volume / graph.num_vertices
 
     @property
     def candidate_sizes(self) -> list[int]:
         """The candidate-size schedule (read-only copy)."""
         return list(self._sizes)
 
+    def _check_searchable(self) -> None:
+        if self._graph.num_edges == 0:
+            raise AlgorithmError("the mixing-set search requires a graph with at least one edge")
+
     def largest_mixing_set(self, distribution: np.ndarray, walk_length: int) -> LargestMixingSet:
         """Return the largest mixing set for the given walk distribution.
 
-        Candidate sizes are examined in increasing order and the *largest*
-        size whose ``|S|`` smallest deviations sum below the threshold wins
-        (Algorithm 1 line 17: "the largest set S which satisfies the mixing
-        condition").  By default the whole schedule is scanned: with the
-        localized average-volume proxy ``µ'(S)`` the acceptance predicate is
-        not monotone in ``|S|`` — in dense graphs no set smaller than roughly
-        the seed's degree can mix even though community-sized sets do — so
-        stopping at the first failing size (the literal pseudocode reading,
-        available via ``stop_at_first_failure=True``) can miss every mixing
-        set.  This deviation is recorded in DESIGN.md.
+        The *largest* size whose ``|S|`` smallest deviations sum below the
+        threshold wins (Algorithm 1 line 17: "the largest set S which
+        satisfies the mixing condition").  By default the whole schedule is
+        the candidate set: with the localized average-volume proxy ``µ'(S)``
+        the acceptance predicate is not monotone in ``|S|`` — in dense graphs
+        no set smaller than roughly the seed's degree can mix even though
+        community-sized sets do — so stopping at the first failing size (the
+        literal pseudocode reading, available via
+        ``stop_at_first_failure=True``) can miss every mixing set.  This
+        deviation is recorded in DESIGN.md.
         """
-        best_size = 0
-        best_members: np.ndarray | None = None
-        best_deficit = 0.0
-        best_mass = 0.0
-        examined = 0
-        for size in self._sizes:
-            examined += 1
-            deficit, mass, members = mixing_deficit_for_size(self._graph, distribution, size)
-            if deficit < self._threshold and mass >= self._min_mass:
-                best_size = size
-                best_members = members
-                best_deficit = deficit
-                best_mass = mass
-            elif deficit >= self._threshold and self._stop_at_first_failure:
-                break
-        members_set = (
-            frozenset(int(v) for v in best_members) if best_members is not None else frozenset()
-        )
-        return LargestMixingSet(
-            walk_length=walk_length,
-            size=best_size,
-            members=members_set,
-            deficit=best_deficit,
-            mass=best_mass,
-            sizes_examined=examined,
-        )
+        self._check_searchable()
+        distribution = np.asarray(distribution, dtype=np.float64)
+        if distribution.shape != (self._graph.num_vertices,):
+            raise AlgorithmError(
+                f"distribution has shape {distribution.shape}, expected "
+                f"({self._graph.num_vertices},)"
+            )
+        results: list[LargestMixingSet | None] = [None]
+        self._scan_lanes(distribution.reshape(1, -1), walk_length, results, 0, 1)
+        return cast(LargestMixingSet, results[0])
+
+    def _scan_lanes(
+        self,
+        rows: np.ndarray,
+        walk_length: int,
+        results: list[LargestMixingSet | None],
+        start: int,
+        stop: int,
+    ) -> None:
+        """Run the schedule for lanes ``start:stop`` of ``rows`` (one walk per row).
+
+        Writes each lane's outcome into ``results`` at its global lane
+        index; lanes outside ``start:stop`` are never touched, which is what
+        makes disjoint lane ranges thread-safe.  A lane retires from the
+        block at its decisive size: the first accepted one when scanning
+        down, the first failing one when scanning up.
+        """
+        num_vertices = rows.shape[1]
+        ascending = self._stop_at_first_failure
+        threshold = self._threshold
+        # Half an ulp of 1.0 in the scan precision: the unit roundoff u.
+        unit = float(np.finfo(rows.dtype).eps) / 2.0
+        degrees = self._degrees.astype(rows.dtype, copy=False)
+        order = list(enumerate(self._sizes))
+        if not ascending:
+            order.reverse()
+        columns = list(range(start, stop))
+        lanes = rows[start:stop]
+        # One deviation buffer and one partition buffer per block, reused
+        # for every size; retired lanes shrink the live prefix.
+        deviation_buffer = np.empty_like(lanes)
+        partition_buffer = np.empty_like(lanes)
+        examined = dict.fromkeys(columns, len(order))
+        best: dict[int, tuple[int, np.ndarray | None, float, float]] = {}
+        for index, size in order:
+            live = len(columns)
+            deviations = deviation_buffer[:live]
+            np.subtract(lanes, degrees / (self._volume_per_vertex * size), out=deviations)
+            np.absolute(deviations, out=deviations)
+            if size < num_vertices:
+                smallest = partition_buffer[:live]
+                np.copyto(smallest, deviations)
+                smallest.partition(size - 1, axis=1)
+                screened = smallest[:, :size].sum(axis=1)
+            else:
+                screened = deviations.sum(axis=1)
+            # Certified rejection: the exact deficit, the same values summed
+            # in another order, is then at or above the threshold too.
+            guard = 4.0 * size * unit
+            lower = screened.astype(np.float64, copy=False) * (1.0 - guard)
+            rejected = lower >= threshold * (1.0 + guard)
+            retired = np.flatnonzero(rejected).tolist() if ascending else []
+            undecided = np.flatnonzero(~rejected)
+            if undecided.size:
+                # The screen is done with the partition buffer: gather the
+                # undecided rows' deviations into it, contiguous per row.
+                # (The indices are valid; mode="clip" skips the temporary
+                # that the default mode="raise" buffers `out` through.)
+                selected = partition_buffer[: undecided.size]
+                np.take(deviations, undecided, axis=0, out=selected, mode="clip")
+                chosen, deficits, masses = self._exact_sets(selected, lanes, undecided, size)
+                for slot, position in enumerate(undecided.tolist()):
+                    deficit = float(deficits[slot])
+                    mass = float(masses[slot])
+                    if deficit < threshold and mass >= self._min_mass:
+                        best[columns[position]] = (
+                            size,
+                            # Copy: the row view must not keep this size's
+                            # index matrix alive per lane.
+                            None if chosen is None else chosen[slot].copy(),
+                            deficit,
+                            mass,
+                        )
+                        if not ascending:
+                            retired.append(position)
+                    elif deficit >= threshold and ascending:
+                        retired.append(position)
+            if retired:
+                if ascending:
+                    for position in retired:
+                        examined[columns[position]] = index + 1
+                keep = np.delete(np.arange(live), retired)
+                if keep.size == 0:
+                    break
+                columns = [columns[position] for position in keep.tolist()]
+                lanes = lanes[keep]
+
+        for column in range(start, stop):
+            size, members, deficit, mass = best.get(column, (0, None, 0.0, 0.0))
+            if size == 0:
+                member_set: frozenset[int] = frozenset()
+            elif members is None:
+                member_set = frozenset(range(num_vertices))
+            else:
+                member_set = frozenset(members.tolist())
+            results[column] = LargestMixingSet(
+                walk_length=walk_length,
+                size=size,
+                members=member_set,
+                deficit=deficit,
+                mass=mass,
+                sizes_examined=examined[column],
+            )
+
+    def _exact_sets(
+        self, deviations: np.ndarray, lanes: np.ndarray, rows: np.ndarray, size: int
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """Return ``(chosen, deficits, masses)`` of rows ``rows`` of ``lanes`` at one size.
+
+        The exact index path.  ``deviations`` holds those rows' deviations,
+        one contiguous row each.  Each row is argpartitioned and its chosen
+        indices sorted by vertex id (``None`` when the size covers every
+        vertex).  Deficits and masses are summed from *contiguous* per-row
+        gathers so numpy's pairwise summation blocks exactly as the 1-D
+        ``mixing_deficit_for_size`` does; a 2-D axis-0 reduction would block
+        differently and drift in the last ulp.
+        """
+        if size >= deviations.shape[1]:
+            return None, deviations.sum(axis=1), lanes.sum(axis=1)[rows]
+        chosen = np.argpartition(deviations, size - 1, axis=1)[:, :size]
+        chosen.sort(axis=1)
+        deficits = np.take_along_axis(deviations, chosen, axis=1).sum(axis=1)
+        masses = lanes[rows[:, None], chosen].sum(axis=1)
+        return chosen, deficits, masses
 
 
 class BatchedMixingSetSearch(MixingSetSearch):
     """The largest-mixing-set search evaluated for ``B`` walks at once.
 
-    The scalar :class:`MixingSetSearch` spends one full pass over the graph
-    per candidate size *per walk column*: recomputing the per-vertex targets
-    ``d(u)/µ'(S)``, forming the deviation vector and argpartitioning it.  At
-    batch width ``B`` the per-step cost of
-    :func:`repro.core.batched.detect_community_batch` is therefore dominated
-    by ``B`` sequential scans rather than the shared SpMM walk advance.  This
-    class batches the search itself: for every candidate size, the targets
-    are computed once, the deviation *matrix* ``|P − targets|`` over all
-    active columns is formed in one elementwise pass, and one per-lane
-    ``np.argpartition`` selects every column's smallest deviations
-    simultaneously.  Internally the distributions are laid out one per row
-    (the matrix is transposed once per call) so every argpartition lane is
+    The scalar :class:`MixingSetSearch` runs the descending, screened scan
+    for one walk.  This class runs the same scan loop over a block of walks:
+    for every candidate size the targets ``d(u)/µ'(S)`` are computed once,
+    the deviation *matrix* ``|P − targets|`` over all live lanes is formed
+    in one elementwise pass, and one in-place per-lane partition screens
+    every lane at once.  Only lanes the screen cannot reject reach the
+    exact path (one per-lane argpartition over the undecided rows), which
+    on PPM walks is under one lane per walk step.  A lane leaves its block
+    at its decisive size.  Internally the distributions are laid out one per
+    row (the matrix is transposed once per call) so every partition lane is
     contiguous in memory.
 
     Exact-equivalence guarantee
@@ -240,42 +385,46 @@ class BatchedMixingSetSearch(MixingSetSearch):
     ``largest_mixing_sets(distributions, ℓ)[j]`` is **equal** (dataclass
     equality: same members, same deficit/mass floats, same
     ``sizes_examined``) to
-    ``largest_mixing_set(np.ascontiguousarray(distributions[:, j]), ℓ)``:
+    ``largest_mixing_set(np.ascontiguousarray(distributions[:, j]), ℓ)``,
+    and both equal the plain ascending loop over
+    :func:`mixing_deficit_for_size`:
 
     * deviations are elementwise IEEE operations, identical regardless of
       memory layout;
+    * the screen only ever rejects a size whose exact deficit is certainly
+      at or above the threshold (see the module docstring), so the decisive
+      size of every lane is the one the plain loop decides on;
     * numpy's introselect is deterministic in the value sequence of each
       lane, so the per-lane result of the batched argpartition — including
-      the resolution of ties — matches the scalar 1-D argpartition, and both
-      paths sort the selected indices by vertex id afterwards;
-    * deficits and masses are summed from *contiguous* per-column gathers so
-      numpy's pairwise summation blocks exactly as in the scalar path
-      (a 2-D axis-0 reduction would block differently and drift in the last
-      ulp — the same pitfall :meth:`BatchedWalkDistribution.mass_in` avoids).
+      the resolution of ties — matches the 1-D argpartition, and every path
+      sorts the selected indices by vertex id afterwards;
+    * deficits and masses are summed from contiguous per-lane gathers
+      (:meth:`_exact_sets`).
 
-    ``tests/test_batched_mixing_set.py`` asserts the equivalence on random
-    and tie-heavy distributions for every schedule/flag combination.
+    ``tests/test_batched_mixing_set.py`` asserts the equivalence against an
+    independent copy of the plain loop on random, tie-heavy, real-walk and
+    near-threshold distributions for every schedule/flag combination.
 
     Multi-core search
     -----------------
-    At n ≳ 50k the batched scan is memory-bound on one core (ROADMAP).  The
-    ``workers`` knob (``None`` → ``REPRO_WORKERS`` environment override →
-    serial; ``0`` → all cores) splits the per-lane work across threads of
-    the shared pool (:mod:`repro.execution`) by contiguous *lane block*.
-    Every lane's deviations, argpartition and contiguous gather-sums are
-    computed from that lane's row alone, independent of which other lanes
-    share a block, so the exact-equivalence guarantee above holds for every
-    ``workers`` value (asserted by ``tests/test_execution.py``).
+    The ``workers`` knob (``None`` → ``REPRO_WORKERS`` environment override
+    → serial; ``0`` → all cores) splits the lanes across threads of the
+    shared pool (:mod:`repro.execution`) by contiguous *lane block*.  Every
+    lane's deviations, screen and exact path are computed from that lane's
+    row alone, independent of which other lanes share a block, so the
+    guarantee above holds for every ``workers`` value (asserted by
+    ``tests/test_execution.py``).
 
     float32 fast path
     -----------------
-    ``dtype=np.float32`` halves the memory traffic of the deviation scan —
-    the knob for searches that are bandwidth-bound, not precision-bound.  It
-    is explicitly **not** covered by the exactness guarantee: deviations,
+    ``dtype=np.float32`` halves the memory traffic of the deviation scan.
+    It is explicitly **not** covered by the exactness guarantee: deviations,
     deficits and masses are computed in single precision (then widened for
     the threshold comparisons), so reported floats are only ≈-close to the
     float64 path and argpartition near-ties may select different members.
-    Tests assert closeness, never equality, for this path.
+    The screen's guard uses the float32 unit roundoff, so it never rejects
+    a size the float32 exact path would accept.  Tests assert closeness,
+    never equality with float64, for this path.
     """
 
     def __init__(
@@ -292,11 +441,6 @@ class BatchedMixingSetSearch(MixingSetSearch):
                 f"batched search dtype must be float64 or float32, got {dtype!r}"
             )
         self._workers = resolve_workers(workers)
-        # Shared per-call constants, hoisted out of the size loop.  The
-        # average volume is computed as (volume/n)·size — the same float
-        # sequence as deviation_values — so targets stay bit-identical.
-        self._degrees = self._graph.degrees().astype(self._dtype)
-        self._volume_per_vertex = self._graph.volume / self._graph.num_vertices
 
     @property
     def workers(self) -> int:
@@ -349,8 +493,7 @@ class BatchedMixingSetSearch(MixingSetSearch):
                 f"distribution matrix has shape {matrix.shape}, expected "
                 f"({self._graph.num_vertices}, B)"
             )
-        if self._graph.num_edges == 0:
-            raise AlgorithmError("the mixing-set search requires a graph with at least one edge")
+        self._check_searchable()
         num_vertices, width = matrix.shape
         if width == 0:
             return []
@@ -362,131 +505,34 @@ class BatchedMixingSetSearch(MixingSetSearch):
             column = np.ascontiguousarray(matrix[:, 0])
             return [self.largest_mixing_set(column, walk_length)]
         # Work row-major with one distribution per *row*: the per-lane
-        # introselect of the argpartition below then runs over contiguous
-        # memory.  (Partitioning the (n, B) matrix along axis 0 walks lanes
-        # with stride 8B bytes — measured 6x slower than the scalar loop at
-        # B = 64 on a 50k-vertex graph.)  The transpose changes layout only,
-        # never the per-lane value sequence, so results are unaffected; the
-        # float32 fast path casts here, in the same pass.
+        # partitions then run over contiguous memory.  (Partitioning the
+        # (n, B) matrix along axis 0 walks lanes with stride 8B bytes —
+        # measured 6x slower than the scalar loop at B = 64 on a 50k-vertex
+        # graph.)  The transpose changes layout only, never the per-lane
+        # value sequence, so results are unaffected; the float32 fast path
+        # casts here, in the same pass.
         rows = np.ascontiguousarray(matrix.T, dtype=self._dtype)
+        results: list[LargestMixingSet | None] = [None] * width
 
-        best_size = [0] * width
-        best_members: list[np.ndarray | None] = [None] * width
-        best_deficit = [0.0] * width
-        best_mass = [0.0] * width
-        examined = [0] * width
-
-        # Lanes are processed in cache-sized blocks, each scanning the whole
-        # candidate schedule before the next block starts: the block's rows
-        # stay hot across all sizes (the scalar loop's one cache advantage),
-        # while targets and the elementwise/argpartition passes amortize over
-        # the block.  One (lanes, n) array per _SEARCH_BLOCK_BYTES.
+        # Lanes are processed in cache-sized blocks, each scanning the
+        # schedule before the next block starts: the block's rows stay hot
+        # across all sizes, while targets and the elementwise/partition
+        # passes amortize over the block.  One (lanes, n) array per
+        # _SEARCH_BLOCK_BYTES.
         block_width = max(
             1, min(width, _SEARCH_BLOCK_BYTES // max(1, num_vertices * rows.itemsize))
         )
 
         def scan_lanes(lane_start: int, lane_stop: int) -> None:
             # Worker task: scan a contiguous lane range in cache-sized
-            # blocks.  Every lane's results depend only on its own row, so
+            # blocks.  Every lane's result depends only on its own row, so
             # neither the block boundaries nor the worker partition change a
             # single output value, and each lane index is written by exactly
             # one worker (disjoint slices — no locking needed).
             for start in range(lane_start, lane_stop, block_width):
-                self._scan_block(
-                    rows,
-                    start,
-                    min(start + block_width, lane_stop),
-                    best_size,
-                    best_members,
-                    best_deficit,
-                    best_mass,
-                    examined,
+                self._scan_lanes(
+                    rows, walk_length, results, start, min(start + block_width, lane_stop)
                 )
 
         parallel_map_blocks(scan_lanes, width, self._workers)
-
-        results: list[LargestMixingSet] = []
-        for column in range(width):
-            members = best_members[column]
-            members_set = (
-                frozenset(int(v) for v in members) if members is not None else frozenset()
-            )
-            results.append(
-                LargestMixingSet(
-                    walk_length=walk_length,
-                    size=best_size[column],
-                    members=members_set,
-                    deficit=best_deficit[column],
-                    mass=best_mass[column],
-                    sizes_examined=examined[column],
-                )
-            )
-        return results
-
-    def _scan_block(
-        self,
-        rows: np.ndarray,
-        start: int,
-        stop: int,
-        best_size: list[int],
-        best_members: list[np.ndarray | None],
-        best_deficit: list[float],
-        best_mass: list[float],
-        examined: list[int],
-    ) -> None:
-        """Scan the whole candidate schedule for lanes ``start:stop`` of ``rows``.
-
-        Writes each lane's best accepted candidate into the shared result
-        lists at its global lane index; lanes outside ``start:stop`` are
-        never touched, which is what makes the blocks thread-safe.
-        """
-        num_vertices = rows.shape[1]
-        # Global column ids of the lanes still scanning the schedule; only
-        # stop_at_first_failure ever removes a lane early (mirroring the
-        # scalar `break`).
-        columns = np.arange(start, stop)
-        lanes = rows[start:stop]
-        deviations = np.empty_like(lanes)
-        for size in self._sizes:
-            average_volume = self._volume_per_vertex * size
-            targets = self._degrees / average_volume
-            np.subtract(lanes, targets[None, :], out=deviations)
-            np.absolute(deviations, out=deviations)
-            if size >= num_vertices:
-                chosen = None
-                deficits = deviations.sum(axis=1)
-                masses = lanes.sum(axis=1)
-            else:
-                chosen = np.argpartition(deviations, size - 1, axis=1)[:, :size]
-                chosen.sort(axis=1)
-                # take_along_axis gathers contiguously in vertex-id order
-                # and the last-axis reduction applies the same pairwise
-                # blocking as the scalar 1-D `deviations[chosen].sum()`.
-                deficits = np.take_along_axis(deviations, chosen, axis=1).sum(axis=1)
-                masses = np.take_along_axis(lanes, chosen, axis=1).sum(axis=1)
-            failed: list[int] = []
-            for position in range(columns.size):
-                column = int(columns[position])
-                examined[column] += 1
-                deficit = float(deficits[position])
-                mass = float(masses[position])
-                if deficit < self._threshold and mass >= self._min_mass:
-                    best_size[column] = size
-                    best_members[column] = (
-                        np.arange(num_vertices, dtype=np.int64)
-                        if chosen is None
-                        # Copy: the row view must not keep this size's
-                        # full index matrix alive per column.
-                        else chosen[position].copy()
-                    )
-                    best_deficit[column] = deficit
-                    best_mass[column] = mass
-                elif deficit >= self._threshold and self._stop_at_first_failure:
-                    failed.append(position)
-            if failed:
-                keep = np.delete(np.arange(columns.size), failed)
-                if keep.size == 0:
-                    break
-                columns = columns[keep]
-                lanes = np.ascontiguousarray(lanes[keep])
-                deviations = np.empty_like(lanes)
+        return cast(list[LargestMixingSet], results)
